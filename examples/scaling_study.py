@@ -1,7 +1,7 @@
 """Regret/fit of sharded FedL selection at large populations.
 
-PR 8 replaces the flat O(K²) per-epoch selection with S independent
-per-shard subproblems.  Sharding changes *which* subproblem each online
+Sharding replaces the flat per-epoch selection with S independent
+per-shard subproblems.  That changes *which* subproblem each online
 learner sees, so this study re-verifies the paper's Corollary 1 trends
 at scale: dynamic regret and dynamic fit per epoch must keep shrinking
 as the horizon grows, for the sharded policy just as for the flat one.

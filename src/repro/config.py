@@ -380,8 +380,8 @@ class ShardConfig:
     single global FedL subproblem and every output is bit-identical to
     pre-shard builds.  With ``num_shards = S > 1`` the fleet is
     partitioned into S shards (deterministic under the experiment seed),
-    the per-epoch budget is decomposed across shards, and the O(K²)
-    selection subproblem runs per shard — O(S·(K/S)²) total.
+    the per-epoch budget is decomposed across shards, and one selection
+    subproblem over K/S clients runs per shard.
 
     ``eval_sample`` bounds the per-epoch full-population loss sweep (and
     the matching data installation) to a random subsample of the

@@ -14,6 +14,13 @@ not an integer a single fractional coordinate survives the pairing loop;
 it is resolved by an (unavoidable) independent Bernoulli round, so the
 realized sum is ``floor(Σx̃)`` or ``ceil(Σx̃)`` and the marginals are still
 exact.
+
+Cost per call, for K coordinates of which F are fractional: one
+vectorized O(K) validate-and-snap pass, then at most F − 1 pairing steps.
+Each step is a constant amount of Python work — one ``rng.choice``, at
+most one ``rng.random``, two scalar updates and at most two deletions
+from the ordered list of fractional positions (a C-level memmove).  The
+``rng.choice`` call itself is the floor: it is most of what a step costs.
 """
 
 from __future__ import annotations
@@ -30,6 +37,15 @@ def _snap(x: np.ndarray) -> np.ndarray:
     x = np.where(np.abs(x) <= _ATOL, 0.0, x)
     x = np.where(np.abs(x - 1.0) <= _ATOL, 1.0, x)
     return x
+
+
+def _snap_scalar(v: float) -> float:
+    """Scalar :func:`_snap`: the same two comparisons in the same order."""
+    if abs(v) <= _ATOL:
+        v = 0.0
+    if abs(v - 1.0) <= _ATOL:
+        v = 1.0
+    return v
 
 
 def independent_round(
@@ -56,35 +72,47 @@ def rdcs_round(x_frac: np.ndarray, rng: np.random.Generator) -> np.ndarray:
       * ``E[x_k] = x̃_k`` for every k,
       * the realized sum is in ``{floor(Σx̃), ceil(Σx̃)}``.
     """
-    x = np.asarray(x_frac, dtype=float).copy()
+    x = np.asarray(x_frac, dtype=float)
     if x.ndim != 1:
         raise ValueError("x_frac must be 1-D")
     if np.any((x < -_ATOL) | (x > 1.0 + _ATOL)):
         raise ValueError("fractions must lie in [0, 1]")
     x = _snap(np.clip(x, 0.0, 1.0))
 
-    frac_idx = list(np.flatnonzero((x > 0.0) & (x < 1.0)))
+    # Python floats and an ordered position list: a step touches two
+    # scalars and deletes at most two list entries, so its bookkeeping is
+    # O(1) and the order the generator indexes into never changes.
+    frac_idx = np.flatnonzero((x > 0.0) & (x < 1.0)).tolist()
+    x = x.tolist()
+    choice, random = rng.choice, rng.random
     while len(frac_idx) >= 2:
         # Randomly choose the interacting pair (paper line 1).
-        pos_i, pos_j = rng.choice(len(frac_idx), size=2, replace=False)
+        pos_i, pos_j = choice(len(frac_idx), size=2, replace=False).tolist()
         i, j = frac_idx[pos_i], frac_idx[pos_j]
-        zeta1 = min(1.0 - x[i], x[j])
-        zeta2 = min(x[i], 1.0 - x[j])
+        xi, xj = x[i], x[j]
+        zeta1 = min(1.0 - xi, xj)
+        zeta2 = min(xi, 1.0 - xj)
         total = zeta1 + zeta2
         if total <= _ATOL:
             # Both already integral (numerically); drop them.
-            x[i], x[j] = round(x[i]), round(x[j])
-        elif rng.random() < zeta2 / total:
-            x[i] += zeta1
-            x[j] -= zeta1
+            xi, xj = float(round(xi)), float(round(xj))
+        elif random() < zeta2 / total:
+            xi += zeta1
+            xj -= zeta1
         else:
-            x[i] -= zeta2
-            x[j] += zeta2
-        x[i] = _snap(np.asarray([x[i]]))[0]
-        x[j] = _snap(np.asarray([x[j]]))[0]
-        frac_idx = [k for k in frac_idx if 0.0 < x[k] < 1.0]
+            xi -= zeta2
+            xj += zeta2
+        x[i] = _snap_scalar(xi)
+        x[j] = _snap_scalar(xj)
+        # Drop the positions that became integral, higher one first so
+        # the lower one still points at its coordinate.
+        if pos_i < pos_j:
+            pos_i, pos_j = pos_j, pos_i
+        for pos in (pos_i, pos_j):
+            if not 0.0 < x[frac_idx[pos]] < 1.0:
+                del frac_idx[pos]
 
     if frac_idx:  # one leftover fractional coordinate
         k = frac_idx[0]
-        x[k] = 1.0 if rng.random() < x[k] else 0.0
-    return x
+        x[k] = 1.0 if random() < x[k] else 0.0
+    return np.array(x, dtype=float)

@@ -538,12 +538,11 @@ def bench_scale(
 ) -> Dict[str, Any]:
     """Sharded vs flat FedL selection at large client populations.
 
-    The FedL hot path is the O(F²) dependent-rounding pairing loop over
-    the fractional support; sharding replaces it with S independent
-    O((F/S)²) subproblems.  Both arms run the *full* select+update policy
-    pipeline (FISTA descent, RDCS rounding, feasibility repair, learner
-    feedback) on identical synthetic epoch streams — no model training, so
-    the timing isolates the selection layer the tentpole optimises.
+    Sharding replaces one global selection subproblem with S independent
+    ones over K/S clients each.  Both arms run the *full* select+update
+    policy pipeline (FISTA descent, RDCS rounding, feasibility repair,
+    learner feedback) on identical synthetic epoch streams — no model
+    training, so the timing isolates the selection layer.
 
     Also checks, at K=100, that a single-shard :class:`ShardedFedLPolicy`
     reproduces the flat :class:`FedLPolicy` decisions bit-identically

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.rounding import independent_round, rdcs_round
+from repro.core.rounding import _ATOL, _snap, independent_round, rdcs_round
 
 fractions = hnp.arrays(
     np.float64,
@@ -73,6 +73,129 @@ class TestRdcsInvariants:
         sums = [rdcs_round(x, rng).sum() for _ in range(5000)]
         assert set(np.unique(sums)).issubset({0.0, 1.0})
         assert np.mean(sums) == pytest.approx(0.9, abs=0.03)
+
+
+def _rdcs_reference(x_frac, rng):
+    """The original O(F²) RDCS loop, frozen as the bit-identity oracle.
+
+    It rebuilds the fractional-index list and re-snaps through NumPy on
+    every pairing step; ``rdcs_round`` must make exactly the same
+    generator calls and return exactly the same bytes.
+    """
+    x = np.asarray(x_frac, dtype=float).copy()
+    x = _snap(np.clip(x, 0.0, 1.0))
+    frac_idx = list(np.flatnonzero((x > 0.0) & (x < 1.0)))
+    while len(frac_idx) >= 2:
+        pos_i, pos_j = rng.choice(len(frac_idx), size=2, replace=False)
+        i, j = frac_idx[pos_i], frac_idx[pos_j]
+        zeta1 = min(1.0 - x[i], x[j])
+        zeta2 = min(x[i], 1.0 - x[j])
+        total = zeta1 + zeta2
+        if total <= _ATOL:
+            x[i], x[j] = round(x[i]), round(x[j])
+        elif rng.random() < zeta2 / total:
+            x[i] += zeta1
+            x[j] -= zeta1
+        else:
+            x[i] -= zeta2
+            x[j] += zeta2
+        x[i] = _snap(np.asarray([x[i]]))[0]
+        x[j] = _snap(np.asarray([x[j]]))[0]
+        frac_idx = [k for k in frac_idx if 0.0 < x[k] < 1.0]
+    if frac_idx:
+        k = frac_idx[0]
+        x[k] = 1.0 if rng.random() < x[k] else 0.0
+    return x
+
+
+_EDGE_VALUES = [0.0, 1.0, 0.5, 1e-13, 1e-12, 2e-12, 1.0 - 1e-13,
+                1.0 - 1e-12, 1.0 - 2e-12, 5e-324]
+_edge_elements = st.one_of(
+    st.floats(0.0, 1.0, allow_nan=False),
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(0.0, 1e-11),
+    st.floats(1.0 - 1e-11, 1.0),
+)
+
+
+@st.composite
+def _rounding_inputs(draw):
+    size = draw(st.integers(min_value=1, max_value=200))
+    kind = draw(st.sampled_from(["edge", "halves", "tiny", "integral-sum"]))
+    if kind == "edge":
+        return draw(hnp.arrays(np.float64, size, elements=_edge_elements))
+    if kind == "halves":
+        return np.full(size, 0.5)
+    if kind == "tiny":
+        return draw(hnp.arrays(np.float64, size,
+                               elements=st.floats(0.0, 1e-9)))
+    x = draw(hnp.arrays(np.float64, size, elements=st.floats(0.05, 0.95)))
+    target = draw(st.integers(min_value=1, max_value=max(1, size // 2)))
+    return np.clip(x / x.sum() * target, 0.0, 1.0)
+
+
+class _CountingRng:
+    """A real ``Generator`` behind a proxy that counts the RDCS draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.choice_calls = 0
+        self.random_calls = 0
+
+    def choice(self, *args, **kwargs):
+        self.choice_calls += 1
+        return self._rng.choice(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self._rng.random(*args, **kwargs)
+
+
+def _num_fractional(x):
+    snapped = _snap(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+    return int(np.count_nonzero((snapped > 0.0) & (snapped < 1.0)))
+
+
+class TestRdcsMatchesReference:
+    """Bit-identity of the linear-time loop against the O(F²) original."""
+
+    @staticmethod
+    def _assert_identical(x, seed):
+        ref_rng = np.random.default_rng(seed)
+        new_rng = np.random.default_rng(seed)
+        expected = _rdcs_reference(x, ref_rng)
+        out = rdcs_round(x, new_rng)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(_rounding_inputs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_and_generator_state_match(self, x, seed):
+        self._assert_identical(x, seed)
+
+    def test_large_vector_matches(self):
+        x = np.random.default_rng(2000).random(2000)
+        x[::7] = 0.0
+        x[3::11] = 1.0
+        self._assert_identical(x, 2000)
+
+    @given(_rounding_inputs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_generator_calls_are_linear(self, x, seed):
+        """At most F − 1 pairing draws and F uniforms for F fractions."""
+        rng = _CountingRng(seed)
+        rdcs_round(x, rng)
+        frac = _num_fractional(x)
+        assert rng.choice_calls <= max(frac - 1, 0)
+        assert rng.random_calls <= frac
+
+    def test_generator_calls_are_linear_at_scale(self):
+        x = np.random.default_rng(5).uniform(0.01, 0.99, size=5000)
+        rng = _CountingRng(5)
+        rdcs_round(x, rng)
+        assert rng.choice_calls <= 4999
+        assert rng.random_calls <= 5000
 
 
 class TestIndependentRound:
