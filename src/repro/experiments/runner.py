@@ -57,7 +57,7 @@ from repro.fl.privacy import DPSpec, PrivacyAccountant
 from repro.net import ChannelModel, achievable_rate, compute_latency, transmission_latency
 from repro.nn import build_model
 from repro.obs import get_telemetry
-from repro.rng import RngFactory
+from repro.rng import RngFactory, StreamRef
 from repro.sim.entities import SimRoundSpec
 from repro.sim.faults import fault_profile
 
@@ -176,7 +176,7 @@ class Simulation:
             FLClient(
                 k,
                 self.model,
-                self.rng.get(f"fl.client.{k}"),
+                StreamRef(self.rng, f"fl.client.{k}"),
                 sgd_steps=config.training.local_sgd_steps,
                 sgd_lr=config.training.sgd_lr,
                 sigma1=config.training.sigma1,

@@ -330,21 +330,6 @@ class _ClientGroup:
                 start = j
 
 
-def _stack_clients(clients: Sequence) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-padded ``(x, y, lengths)`` stack of the clients' datasets."""
-    n_max = max(c.num_samples for c in clients)
-    dim = clients[0].data.x.shape[1]
-    x = np.zeros((len(clients), n_max, dim))
-    y = np.zeros((len(clients), n_max), dtype=np.int64)
-    lengths = np.empty(len(clients), dtype=np.int64)
-    for j, c in enumerate(clients):
-        n = c.num_samples
-        x[j, :n] = c.data.x
-        y[j, :n] = c.data.y
-        lengths[j] = n
-    return x, y, lengths
-
-
 def batched_local_losses(
     model: ClassifierModel, clients: Sequence, w: np.ndarray
 ) -> np.ndarray:

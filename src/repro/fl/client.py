@@ -4,12 +4,14 @@ Clients share one :class:`repro.nn.models.ClassifierModel` instance (the
 architecture); all state that differs between clients — data, RNG stream,
 the current displacement — lives here.  Sharing the network object is safe
 because the simulator executes clients sequentially and every loss/grad
-call re-loads its parameter vector.
+call re-loads its parameter vector.  A client's RNG stream is created on
+its first local solve, so a population costs nothing per idle client.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from repro.datasets.synthetic import Dataset
 from repro.fl.convergence import estimate_local_accuracy
 from repro.fl.dane import DaneWorkspace, dane_local_step
 from repro.nn.models import ClassifierModel
+from repro.rng import StreamRef
 
 __all__ = ["FLClient"]
 
@@ -28,7 +31,7 @@ class FLClient:
         self,
         client_id: int,
         model: ClassifierModel,
-        rng: np.random.Generator,
+        rng: Union[np.random.Generator, StreamRef],
         sgd_steps: int = 5,
         sgd_lr: float = 0.05,
         sigma1: float = 1.0,
@@ -47,7 +50,10 @@ class FLClient:
             raise ValueError("momentum must be in [0, 1)")
         self.client_id = client_id
         self.model = model
-        self.rng = rng
+        if isinstance(rng, StreamRef):
+            self._rng_ref = rng
+        else:
+            self.rng = rng
         self.sgd_steps = sgd_steps
         self.sgd_lr = sgd_lr
         self.sigma1 = sigma1
@@ -56,6 +62,17 @@ class FLClient:
         self.local_solver = local_solver
         self.momentum = momentum
         self._data: Optional[Dataset] = None
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """This client's SGD generator; a :class:`StreamRef` is resolved on
+        first use."""
+        return self._rng_ref.resolve()
+
+    @property
+    def rng_created(self) -> bool:
+        """Whether :attr:`rng` exists yet (always, for a plain Generator)."""
+        return "rng" in self.__dict__
 
     # -- per-epoch data ----------------------------------------------------------
 

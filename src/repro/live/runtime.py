@@ -831,12 +831,15 @@ class LiveRuntime:
     # -- checkpoint support ------------------------------------------------------
 
     def client_rng_states(self) -> Dict[str, dict]:
-        """Collect every worker-owned client RNG state for a checkpoint.
+        """Collect the worker-owned client RNG states for a checkpoint.
 
         Per-client streams are consumed *inside* the forked workers, so
         the parent factory's own capture is stale for them; this pulls
         the live ``bit_generator.state`` dicts back over the sockets and
         returns them keyed by factory stream name (``fl.client.<id>``).
+        Workers report only streams that exist: a client that has not
+        solved yet is absent and its stream is created from its key on
+        first use, after a restart or a resume alike.
         The result is also cached so a later worker restart can resume
         its clients from the last checkpointed state.  Clients of a
         permanently dead worker report their last cached state (or, if

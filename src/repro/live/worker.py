@@ -1,10 +1,11 @@
 """The forked client-side process of the live engine.
 
 One worker owns a disjoint subset of the fleet's :class:`~repro.fl.
-client.FLClient` objects (inherited by fork, so every per-client RNG
-stream continues exactly where the parent left it — the bit-identity
-anchor).  The main thread is a command loop on the server socket; each
-broadcast spawns one thread per owned participant which
+client.FLClient` objects (inherited by fork, together with the parent's
+RNG factory, so every per-client RNG stream continues exactly where the
+parent left it or is created from its key on first use — the
+bit-identity anchor).  The main thread is a command loop on the server
+socket; each broadcast spawns one thread per owned participant which
 
 1. runs the *real* DANE local solve (the only place client RNG is
    consumed), then sleeps out the remainder of the channel model's
@@ -21,9 +22,10 @@ A background thread additionally sends a small ``hb`` liveness beacon
 every ``heartbeat_s`` wall seconds; the server's watchdog uses its
 absence to tell a *wedged* worker (deadlocked, stopped) from a merely
 slow one.  Two supervision commands round out the protocol: ``rng_state``
-reports every owned client's ``bit_generator.state`` (how checkpoints
-capture worker-side RNG streams) and ``set_rng`` restores them (how a
-restarted worker resumes from the last checkpointed client state).
+reports the ``bit_generator.state`` of every owned client stream created
+so far (how checkpoints capture worker-side RNG streams) and ``set_rng``
+restores them (how a restarted worker resumes from the last checkpointed
+client state).
 
 Workers never touch the aggregation pipeline: DP, compression,
 adversaries, defenses and averaging all stay in the server process, in
@@ -153,14 +155,20 @@ class _Worker:
         self.threads = [t for t in self.threads if t.is_alive()]
 
     def handle_rng_state(self) -> None:
-        """Report every owned client's RNG state (checkpoint capture).
+        """Report the RNG state of every owned client whose stream exists
+        (checkpoint capture).
 
-        Each client's lock is taken so a cancelled straggler still inside
-        a solve cannot advance the stream mid-read."""
+        A stream is created on its client's first solve; reading an unused
+        one would create it, so those are left out and resume builds them
+        fresh from their keys.  Each client's lock is taken so a cancelled
+        straggler still inside a solve cannot advance the stream
+        mid-read."""
         states = {}
         for cid in sorted(self.clients):
             with self.locks[cid]:
-                states[str(cid)] = self.clients[cid].rng.bit_generator.state
+                client = self.clients[cid]
+                if client.rng_created:
+                    states[str(cid)] = client.rng.bit_generator.state
         self.stream.send(
             {
                 "cmd": "ok",

@@ -19,17 +19,25 @@ Usage::
 
 ``get`` is memoized: asking twice for the same key returns the same
 generator object (so a component can keep drawing from where it left off).
+
+Per-client streams (``fl.client.<k>``, ``data.client.<k>``) are created on
+first use: clients hold a :class:`StreamRef` and resolve it through ``get``
+the first time they draw, so building a population costs nothing per client
+and an epoch pays only for the clients it touches.  Because a stream's seed
+depends on its key alone, creating it later yields the same draws.
+Snapshots (:meth:`RngFactory.state_dict`) carry only the streams created so
+far; a resumed run recreates the rest from their keys on first use.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
-__all__ = ["RngFactory", "derive_seed"]
+__all__ = ["RngFactory", "StreamRef", "derive_seed"]
 
 
 def derive_seed(seed: int, key: str) -> int:
@@ -110,3 +118,19 @@ class RngFactory:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RngFactory(seed={self.seed}, streams={sorted(self._cache)})"
+
+
+class StreamRef(NamedTuple):
+    """A factory stream named but not yet created.
+
+    :meth:`resolve` returns ``factory.get(key)``: the factory's memoized
+    object, so a holder that resolves after :meth:`RngFactory.load_state`
+    (or in a forked child, against the child's copy of the factory) draws
+    from exactly the stream the factory holds.
+    """
+
+    factory: RngFactory
+    key: str
+
+    def resolve(self) -> np.random.Generator:
+        return self.factory.get(self.key)
